@@ -2,8 +2,8 @@
 
 Times the code paths every protocol operation funnels through --
 digest XOR algebra, tagged-state hashing, Merkle VO build+verify
-round-trips, RSA sign/verify, server-state snapshots, wire encoding,
-and an E12-style 32-user Protocol II makespan -- and persists the
+round-trips, RSA sign/verify, server-state snapshots, wire encoding and
+decoding, and an E12-style 32-user Protocol II makespan -- and persists the
 numbers as JSON so the perf trajectory is diffable across PRs.
 
 Usage::
@@ -144,12 +144,18 @@ def measure(quick: bool = False) -> dict[str, float]:
 
     sample_key = b"k00003"
     response = db.execute(ReadQuery(key=sample_key))
-    frame_bytes = len(wire.encode(response.proof))
+    frame = wire.encode(response.proof)
+    frame_bytes = len(frame)
     def encode_proof():
         for _ in range(16):
             wire.encode(response.proof)
     metrics["wire_encode_mb_per_s"] = _rate(
         encode_proof, min_time=min_time, batch=16) * frame_bytes / 1e6
+    def decode_proof():
+        for _ in range(16):
+            wire.decode(frame)
+    metrics["wire_decode_mb_per_s"] = _rate(
+        decode_proof, min_time=min_time, batch=16) * frame_bytes / 1e6
 
     # -- E12-style makespan wall time --------------------------------------
     n_users = 8 if quick else 32

@@ -47,6 +47,12 @@ _DOMAIN_INTERNAL_NODE = b"\x08internal-node"
 _SEPARATOR = b"\xff"
 
 
+# Bound once: the trusted constructor below runs for every hasher
+# output and every digest the wire codec decodes.
+_new_object = object.__new__
+_int_from_bytes = int.from_bytes
+
+
 class Digest:
     """An immutable 32-byte digest supporting XOR.
 
@@ -79,9 +85,9 @@ class Digest:
         """Fast internal constructor for trusted 32-byte hasher output
         (skips the public constructor's type/length validation and
         defensive copy)."""
-        digest = object.__new__(cls)
+        digest = _new_object(cls)
         digest._value = value
-        digest._int = int.from_bytes(value, "big")
+        digest._int = _int_from_bytes(value, "big")
         return digest
 
     @classmethod

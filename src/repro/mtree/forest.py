@@ -38,7 +38,7 @@ from repro.mtree.proofs import (
     RangeProof,
     ReadProof,
     UpdateProof,
-    _implied_path_root,
+    _walk_path,
     build_range_proof,
     build_read_proof,
     build_update_proof,
@@ -46,7 +46,6 @@ from repro.mtree.proofs import (
     derive_update_roots,
     implied_root_for_range,
     implied_root_for_read,
-    verify_update,
 )
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
@@ -480,7 +479,7 @@ def implied_root_for_forest_read(
     committed = check_read_answer(proof.top, skey)
     if committed != shard_root.to_bytes():
         raise ProofError("top tree entry disagrees with the shard proof")
-    return _implied_path_root(proof.top.internals, proof.top.leaf, skey)
+    return _walk_path(proof.top.internals, proof.top.leaf, skey)[0]
 
 
 def verify_forest_read(
@@ -522,10 +521,8 @@ def derive_forest_update_roots(
         raise ProofError("top-tree leaf does not contain the shard key") from None
     if proof.top.leaf.entry_digests[position] != hash_leaf(skey, old_shard.to_bytes()):
         raise ProofError("top tree does not commit the shard's pre-update root")
-    old_top = _implied_path_root(proof.top.internals, proof.top.leaf, skey)
-    new_top = verify_update(
-        old_top, proof.top, spec.top_order, skey, new_shard.to_bytes())
-    return old_top, new_top
+    return derive_update_roots(
+        proof.top, spec.top_order, skey, new_shard.to_bytes())
 
 
 def verify_forest_update(

@@ -116,52 +116,27 @@ def build_read_proof(mtree: MerkleBPlusTree, key: bytes) -> ReadProof:
     return ReadProof(key=key, value=mtree.get(key), internals=internals, leaf=leaf)
 
 
-def _verify_path(
-    root_digest: Digest,
+def _walk_path(
     internals: tuple[InternalSnapshot, ...],
     leaf: LeafSnapshot,
     key: bytes,
-) -> list[int]:
-    """Check the root-to-leaf snapshot chain; returns the route indices.
+) -> tuple[Digest, list[int]]:
+    """Fold a root-to-leaf snapshot chain bottom-up, hashing each node once.
 
-    Each snapshot must hash to the digest its parent committed to, and
-    the chain must follow the deterministic routing rule for ``key`` --
-    otherwise a malicious server could prove non-membership using some
-    unrelated leaf.
-    """
-    child_indices: list[int] = []
-    expected = root_digest
-    for level, snapshot in enumerate(internals):
-        if snapshot.digest() != expected:
-            raise ProofError(f"internal snapshot at level {level} does not match committed digest")
-        if list(snapshot.keys) != sorted(snapshot.keys):
-            raise ProofError(f"internal snapshot at level {level} has unsorted separator keys")
-        index = route_index(snapshot.keys, key)
-        child_indices.append(index)
-        expected = snapshot.child_digests[index]
-    if leaf.digest() != expected:
-        raise ProofError("leaf snapshot does not match committed digest")
-    if list(leaf.keys) != sorted(leaf.keys):
-        raise ProofError("leaf snapshot has unsorted keys")
-    return child_indices
-
-
-def _implied_path_root(
-    internals: tuple[InternalSnapshot, ...],
-    leaf: LeafSnapshot,
-    key: bytes,
-) -> Digest:
-    """Fold a path bottom-up and return the root digest it implies.
-
-    Checks internal linkage (each snapshot must be committed by its
-    parent at the position the routing rule for ``key`` selects) and
-    key ordering, but does *not* compare against a known root -- the
-    multi-user protocols obtain the root through signatures or XOR
-    registers instead of tracking it locally.
+    Returns the root digest the chain implies and the child index the
+    routing rule for ``key`` selects at every level (root first).
+    Checks key ordering and internal linkage: each snapshot must be
+    committed by its parent at exactly the routed index -- otherwise a
+    malicious server could prove non-membership using some unrelated
+    leaf.  The implied root itself is *not* trusted here: callers
+    compare it with a known root (:func:`verify_read`,
+    :func:`verify_update`) or authenticate it through the protocol
+    layer (signatures in Protocol I, the XOR registers in II/III).
     """
     if list(leaf.keys) != sorted(leaf.keys):
         raise ProofError("leaf snapshot has unsorted keys")
     digest = leaf.digest()
+    indices = [0] * len(internals)
     for level in range(len(internals) - 1, -1, -1):
         snapshot = internals[level]
         if list(snapshot.keys) != sorted(snapshot.keys):
@@ -169,8 +144,9 @@ def _implied_path_root(
         index = route_index(snapshot.keys, key)
         if snapshot.child_digests[index] != digest:
             raise ProofError(f"broken digest chain at level {level}")
+        indices[level] = index
         digest = snapshot.digest()
-    return digest
+    return digest, indices
 
 
 def check_read_answer(proof: ReadProof, key: bytes) -> bytes | None:
@@ -194,7 +170,7 @@ def check_read_answer(proof: ReadProof, key: bytes) -> bytes | None:
 def implied_root_for_read(proof: ReadProof, key: bytes) -> Digest:
     """The root digest a read proof vouches for (after internal checks)."""
     check_read_answer(proof, key)
-    return _implied_path_root(proof.internals, proof.leaf, key)
+    return _walk_path(proof.internals, proof.leaf, key)[0]
 
 
 def verify_read(root_digest: Digest, proof: ReadProof, key: bytes) -> bytes | None:
@@ -203,19 +179,8 @@ def verify_read(root_digest: Digest, proof: ReadProof, key: bytes) -> bytes | No
     Returns the proven value (or ``None`` for proven absence).  Raises
     :class:`ProofError` on any inconsistency.
     """
-    if proof.key != key:
-        raise ProofError("proof is for a different key")
-    _verify_path(root_digest, proof.internals, proof.leaf, key)
-    if proof.value is None:
-        if key in proof.leaf.keys:
-            raise ProofError("server claimed absence but the leaf contains the key")
-        return None
-    try:
-        position = proof.leaf.keys.index(key)
-    except ValueError:
-        raise ProofError("server claimed presence but the leaf lacks the key") from None
-    if hash_leaf(key, proof.value) != proof.leaf.entry_digests[position]:
-        raise ProofError("returned value does not match the committed entry digest")
+    if implied_root_for_read(proof, key) != root_digest:
+        raise ProofError("read proof does not match committed root digest")
     return proof.value
 
 
@@ -624,27 +589,8 @@ def derive_update_roots(
     current root (another user may have moved it) -- it computes the
     old root from the VO and authenticates it via the protocol layer
     (Protocol I: a signature over it; Protocols II/III: the XOR
-    register algebra).
-    """
-    old_root = _implied_path_root(proof.internals, proof.leaf, proof.key)
-    new_root = verify_update(old_root, proof, order, key, value)
-    return old_root, new_root
-
-
-def verify_update(
-    old_root_digest: Digest,
-    proof: UpdateProof,
-    order: int,
-    key: bytes,
-    value: bytes | None = None,
-) -> Digest:
-    """Client side: validate the pre-update VO and *derive* the new root.
-
-    The returned digest is what the root digest must be after an honest
-    server applies exactly this operation; Protocols I--III compare it
-    (or sign it) rather than trusting anything the server claims.
-
-    ``value`` is required for inserts and must be ``None`` for deletes.
+    register algebra).  The old path is hashed once: the same
+    bottom-up walk yields the old root and the route the replay takes.
     """
     if proof.key != key:
         raise ProofError("update proof is for a different key")
@@ -655,7 +601,7 @@ def verify_update(
     if len(proof.siblings) != len(proof.internals):
         raise ProofError("sibling list length disagrees with path length")
 
-    indices = _verify_path(old_root_digest, proof.internals, proof.leaf, key)
+    old_root, indices = _walk_path(proof.internals, proof.leaf, key)
 
     # Rebuild the path as mutable shadow nodes.
     shadows: list[_ShadowInternal | _ShadowLeaf] = [
@@ -688,6 +634,27 @@ def verify_update(
     else:
         new_root = replay.delete(shadows, indices, key)
 
-    if isinstance(new_root, Digest):
-        return new_root
-    return new_root.digest()
+    if not isinstance(new_root, Digest):
+        new_root = new_root.digest()
+    return old_root, new_root
+
+
+def verify_update(
+    old_root_digest: Digest,
+    proof: UpdateProof,
+    order: int,
+    key: bytes,
+    value: bytes | None = None,
+) -> Digest:
+    """Client side: validate the pre-update VO and *derive* the new root.
+
+    The returned digest is what the root digest must be after an honest
+    server applies exactly this operation; Protocols I--III compare it
+    (or sign it) rather than trusting anything the server claims.
+
+    ``value`` is required for inserts and must be ``None`` for deletes.
+    """
+    old_root, new_root = derive_update_roots(proof, order, key, value)
+    if old_root != old_root_digest:
+        raise ProofError("update proof does not match committed root digest")
+    return new_root

@@ -15,10 +15,22 @@ them a real byte-level encoding, for two reasons:
 Format: a tagged, length-prefixed TLV encoding.  Every value is
 ``tag(1B) || payload``; variable-length payloads carry a 4-byte
 big-endian length.  Deterministic: equal objects encode identically.
+
+The codec is two dispatch tables.  Encoding looks a value's exact type
+up in ``_ENCODERS`` (a subclass falls back to the first registered
+class on its MRO, cached on first use); decoding indexes
+``_DECODERS`` by the tag byte and walks one ``bytes`` buffer by integer
+offset.  Every record type -- queries, snapshots, proofs, signatures,
+deposits, envelopes -- is a dataclass whose fields go on the wire in
+declaration order, so one table row (tag, class, field kinds) gives
+both directions.  Lists of digests, the bulk of every VO, decode in
+one pass: all elements sit at a fixed 33-byte stride, so a single
+strided slice compare validates every tag byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 from repro.crypto.hashing import DIGEST_SIZE, Digest
@@ -39,6 +51,7 @@ from repro.mtree.proofs import (
     FringeNode,
     InternalSnapshot,
     LeafSnapshot,
+    ProofError,
     RangeProof,
     ReadProof,
     SiblingPair,
@@ -74,16 +87,42 @@ _TAGS = {
     "request": 0x40, "response": 0x41, "followup": 0x42,
     "error_reply": 0x43,
 }
-_NAMES = {tag: name for name, tag in _TAGS.items()}
+
+_BYTES_TAG = _TAGS["bytes"]
+_DIGEST_TAG = _TAGS["digest"]
+# A digest list element is ``tag || 32 bytes``.
+_DIGEST_STRIDE = 1 + DIGEST_SIZE
+
+_pack_length = struct.Struct(">I").pack
+_unpack_length = struct.Struct(">I").unpack_from
+_pack_int = struct.Struct(">q").pack
+_unpack_int = struct.Struct(">q").unpack_from
+_pack_float = struct.Struct(">d").pack
+_unpack_float = struct.Struct(">d").unpack_from
 
 
-def _pack_length(n: int) -> bytes:
-    return struct.pack(">I", n)
+def _truncated() -> WireError:
+    return WireError("truncated wire data")
 
 
-# Single-byte tag frames, prebuilt so the encoder appends constants
-# into one growing bytearray instead of assembling throwaway objects.
-_TAG_BYTES = {name: bytes([tag]) for name, tag in _TAGS.items()}
+# ---------------------------------------------------------------------------
+# Encoding: type -> encoder(value, out)
+# ---------------------------------------------------------------------------
+
+
+def _encode_value(value: object, out: bytearray) -> None:
+    kind = type(value)
+    (_ENCODERS.get(kind) or _encoder_for(kind))(value, out)
+
+
+def _encoder_for(kind: type):
+    """MRO fallback for subclasses of a registered type, cached."""
+    for base in kind.__mro__[1:]:
+        encoder = _ENCODERS.get(base)
+        if encoder is not None:
+            _ENCODERS[kind] = encoder
+            return encoder
+    raise WireError(f"cannot encode {kind.__name__}")
 
 
 def _encode_raw(data: bytes, out: bytearray) -> None:
@@ -91,150 +130,85 @@ def _encode_raw(data: bytes, out: bytearray) -> None:
     out += data
 
 
-def _encode_value(value: object, out: bytearray) -> None:
-    if value is None:
-        out += _TAG_BYTES["none"]
-    elif value is True:
-        out += _TAG_BYTES["true"]
-    elif value is False:
-        out += _TAG_BYTES["false"]
-    elif isinstance(value, int):
-        out += _TAG_BYTES["int"]
-        out += struct.pack(">q", value)
-    elif isinstance(value, float):
-        out += _TAG_BYTES["float"]
-        out += struct.pack(">d", value)
-    elif isinstance(value, str):
-        out += _TAG_BYTES["str"]
-        _encode_raw(value.encode("utf-8"), out)
-    elif isinstance(value, (bytes, bytearray)):
-        out += _TAG_BYTES["bytes"]
-        _encode_raw(bytes(value), out)
-    elif isinstance(value, Digest):
-        out += _TAG_BYTES["digest"]
-        out += value.value
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_BYTES["list"]
-        out += _pack_length(len(value))
-        for item in value:
-            _encode_value(item, out)
-    elif isinstance(value, dict):
-        out += _TAG_BYTES["dict"]
-        out += _pack_length(len(value))
-        for key in sorted(value, key=repr):
-            _encode_value(key, out)
-            _encode_value(value[key], out)
-    elif isinstance(value, ReadQuery):
-        out += _TAG_BYTES["read_query"]
-        _encode_raw(value.key, out)
-    elif isinstance(value, RangeQuery):
-        out += _TAG_BYTES["range_query"]
-        _encode_raw(value.low, out)
-        _encode_raw(value.high, out)
-    elif isinstance(value, WriteQuery):
-        out += _TAG_BYTES["write_query"]
-        _encode_raw(value.key, out)
-        _encode_raw(value.value, out)
-    elif isinstance(value, DeleteQuery):
-        out += _TAG_BYTES["delete_query"]
-        _encode_raw(value.key, out)
-    elif isinstance(value, LeafSnapshot):
-        out += _TAG_BYTES["leaf_snapshot"]
-        _encode_value(list(value.keys), out)
-        _encode_value(list(value.entry_digests), out)
-    elif isinstance(value, InternalSnapshot):
-        out += _TAG_BYTES["internal_snapshot"]
-        _encode_value(list(value.keys), out)
-        _encode_value(list(value.child_digests), out)
-    elif isinstance(value, ReadProof):
-        out += _TAG_BYTES["read_proof"]
-        _encode_raw(value.key, out)
-        _encode_value(value.value, out)
-        _encode_value(list(value.internals), out)
-        _encode_value(value.leaf, out)
-    elif isinstance(value, FringeNode):
-        out += _TAG_BYTES["fringe_node"]
-        _encode_value(list(value.keys), out)
-        _encode_value(list(value.children), out)
-    elif isinstance(value, RangeProof):
-        out += _TAG_BYTES["range_proof"]
-        _encode_raw(value.low, out)
-        _encode_raw(value.high, out)
-        _encode_value(value.root, out)
-        _encode_value([list(entry) for entry in value.entries], out)
-    elif isinstance(value, SiblingPair):
-        out += _TAG_BYTES["sibling_pair"]
-        _encode_value(value.left, out)
-        _encode_value(value.right, out)
-    elif isinstance(value, UpdateProof):
-        out += _TAG_BYTES["update_proof"]
-        _encode_value(value.operation, out)
-        _encode_raw(value.key, out)
-        _encode_value(list(value.internals), out)
-        _encode_value(value.leaf, out)
-        _encode_value(list(value.siblings), out)
-    elif isinstance(value, ForestReadProof):
-        out += _TAG_BYTES["forest_read_proof"]
-        _encode_value(value.shard, out)
-        _encode_value(value.inner, out)
-        _encode_value(value.top, out)
-    elif isinstance(value, ForestUpdateProof):
-        out += _TAG_BYTES["forest_update_proof"]
-        _encode_value(value.operation, out)
-        _encode_value(value.shard, out)
-        _encode_value(value.inner, out)
-        _encode_value(value.top, out)
-    elif isinstance(value, ForestRangeProof):
-        out += _TAG_BYTES["forest_range_proof"]
-        _encode_raw(value.low, out)
-        _encode_raw(value.high, out)
-        _encode_value(list(value.shard_proofs), out)
-        _encode_value(value.top, out)
-        _encode_value([list(entry) for entry in value.entries], out)
-    elif isinstance(value, QueryResult):
-        out += _TAG_BYTES["query_result"]
-        _encode_value(value.answer, out)
-        _encode_value(value.proof, out)
-    elif isinstance(value, Signature):
-        out += _TAG_BYTES["signature"]
-        _encode_value(value.signer_id, out)
-        _encode_value(value.digest, out)
-        _encode_raw(value.raw, out)
-    elif isinstance(value, EpochDeposit):
-        out += _TAG_BYTES["epoch_deposit"]
-        _encode_value(value.user_id, out)
-        _encode_value(value.epoch, out)
-        _encode_value(value.sigma, out)
-        _encode_value(value.last, out)
-        _encode_value(value.signature, out)
-    elif isinstance(value, RootDeposit):
-        out += _TAG_BYTES["root_deposit"]
-        _encode_value(value.primary_id, out)
-        _encode_value(value.ctr, out)
-        _encode_value(value.root, out)
-        _encode_value(value.signature, out)
-    elif isinstance(value, RootAttestation):
-        out += _TAG_BYTES["root_attestation"]
-        _encode_value(value.witness_id, out)
-        _encode_value(value.deposit, out)
-        _encode_value(value.signature, out)
-    elif isinstance(value, Request):
-        out += _TAG_BYTES["request"]
-        _encode_value(value.query, out)
-        _encode_value(value.extras, out)
-    elif isinstance(value, Response):
-        out += _TAG_BYTES["response"]
-        _encode_value(value.result, out)
-        _encode_value(value.extras, out)
-    elif isinstance(value, Followup):
-        out += _TAG_BYTES["followup"]
-        _encode_value(value.extras, out)
-    elif isinstance(value, ErrorReply):
-        out += _TAG_BYTES["error_reply"]
-        _encode_value(value.reason, out)
-        _encode_value(value.extras, out)
-    else:
-        raise WireError(f"cannot encode {type(value).__name__}")
+def _encode_list(value, out: bytearray) -> None:
+    out += _LIST_FRAME
+    out += _pack_length(len(value))
+    for item in value:
+        kind = type(item)
+        if kind is Digest:
+            out += _DIGEST_FRAME
+            out += item.value
+        elif kind is bytes:
+            out += _BYTES_FRAME
+            out += _pack_length(len(item))
+            out += item
+        else:
+            (_ENCODERS.get(kind) or _encoder_for(kind))(item, out)
+
+
+def _encode_seq(value, out: bytearray) -> None:
+    _encode_list(tuple(value), out)
+
+
+def _encode_pairs(value, out: bytearray) -> None:
+    _encode_list([tuple(entry) for entry in value], out)
+
+
+def _encode_dict(value: dict, out: bytearray) -> None:
+    out += _DICT_FRAME
+    out += _pack_length(len(value))
+    for key in sorted(value, key=repr):
+        _encode_value(key, out)
+        _encode_value(value[key], out)
+
+
+def _encode_none(value: None, out: bytearray) -> None:
+    out += _NONE_FRAME
+
+
+def _encode_bool(value: bool, out: bytearray) -> None:
+    out += _TRUE_FRAME if value else _FALSE_FRAME
+
+
+def _encode_int(value: int, out: bytearray) -> None:
+    out += _INT_FRAME
+    out += _pack_int(value)
+
+
+def _encode_float(value: float, out: bytearray) -> None:
+    out += _FLOAT_FRAME
+    out += _pack_float(value)
+
+
+def _encode_str(value: str, out: bytearray) -> None:
+    out += _STR_FRAME
+    _encode_raw(value.encode(), out)  # UTF-8, the default
+
+
+def _encode_bytes(value: bytes | bytearray, out: bytearray) -> None:
+    out += _BYTES_FRAME
+    _encode_raw(bytes(value), out)
+
+
+def _encode_digest(value: Digest, out: bytearray) -> None:
+    out += _DIGEST_FRAME
+    out += value.value
+
+
+# Single-byte tag frames, prebuilt so encoders append constants into
+# one growing bytearray instead of assembling throwaway objects.
+_NONE_FRAME, _FALSE_FRAME, _TRUE_FRAME, _INT_FRAME, _STR_FRAME, \
+    _BYTES_FRAME, _DIGEST_FRAME, _LIST_FRAME, _DICT_FRAME, _FLOAT_FRAME = (
+        bytes([_TAGS[name]]) for name in (
+            "none", "false", "true", "int", "str", "bytes", "digest", "list",
+            "dict", "float"))
+
+_ENCODERS = {
+    type(None): _encode_none, bool: _encode_bool, int: _encode_int,
+    float: _encode_float, str: _encode_str, bytes: _encode_bytes,
+    bytearray: _encode_bytes, Digest: _encode_digest,
+    list: _encode_list, tuple: _encode_list, dict: _encode_dict,
+}
 
 
 def encode(message: object) -> bytes:
@@ -244,170 +218,137 @@ def encode(message: object) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise WireError("truncated wire data")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def length(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def raw(self) -> bytes:
-        return self.take(self.length())
+# ---------------------------------------------------------------------------
+# Decoding: tag byte -> decoder(data, pos) -> (value, next pos)
+# ---------------------------------------------------------------------------
 
 
-def _decode_value(reader: _Reader) -> object:
-    tag = reader.take(1)[0]
-    name = _NAMES.get(tag)
-    if name is None:
-        raise WireError(f"unknown wire tag 0x{tag:02x}")
-    if name == "none":
-        return None
-    if name == "true":
-        return True
-    if name == "false":
-        return False
-    if name == "int":
-        return struct.unpack(">q", reader.take(8))[0]
-    if name == "float":
-        return struct.unpack(">d", reader.take(8))[0]
-    if name == "str":
-        return reader.raw().decode("utf-8")
-    if name == "bytes":
-        return reader.raw()
-    if name == "digest":
-        return Digest(reader.take(DIGEST_SIZE))
-    if name == "list":
-        return tuple(_decode_value(reader) for _ in range(reader.length()))
-    if name == "dict":
-        count = reader.length()
-        return {_decode_value(reader): _decode_value(reader) for _ in range(count)}
-    if name == "read_query":
-        return ReadQuery(key=reader.raw())
-    if name == "range_query":
-        return RangeQuery(low=reader.raw(), high=reader.raw())
-    if name == "write_query":
-        return WriteQuery(key=reader.raw(), value=reader.raw())
-    if name == "delete_query":
-        return DeleteQuery(key=reader.raw())
-    if name == "leaf_snapshot":
-        return LeafSnapshot(keys=_decode_value(reader),
-                            entry_digests=_decode_value(reader))
-    if name == "internal_snapshot":
-        return InternalSnapshot(keys=_decode_value(reader),
-                                child_digests=_decode_value(reader))
-    if name == "read_proof":
-        return ReadProof(key=reader.raw(), value=_decode_value(reader),
-                         internals=_decode_value(reader), leaf=_decode_value(reader))
-    if name == "fringe_node":
-        return FringeNode(keys=_decode_value(reader), children=_decode_value(reader))
-    if name == "range_proof":
-        low, high = reader.raw(), reader.raw()
-        root = _decode_value(reader)
-        entries = tuple(tuple(entry) for entry in _decode_value(reader))
-        return RangeProof(low=low, high=high, root=root, entries=entries)
-    if name == "sibling_pair":
-        return SiblingPair(left=_decode_value(reader), right=_decode_value(reader))
-    if name == "update_proof":
-        return UpdateProof(operation=_decode_value(reader), key=reader.raw(),
-                           internals=_decode_value(reader), leaf=_decode_value(reader),
-                           siblings=_decode_value(reader))
-    if name == "forest_read_proof":
-        shard = _decode_value(reader)
-        inner, top = _decode_value(reader), _decode_value(reader)
-        if not isinstance(shard, int) or not isinstance(inner, ReadProof) \
-                or not isinstance(top, ReadProof):
-            raise WireError("malformed forest read proof")
-        return ForestReadProof(shard=shard, inner=inner, top=top)
-    if name == "forest_update_proof":
-        operation, shard = _decode_value(reader), _decode_value(reader)
-        inner, top = _decode_value(reader), _decode_value(reader)
-        if not isinstance(shard, int) or not isinstance(inner, UpdateProof) \
-                or not isinstance(top, UpdateProof):
-            raise WireError("malformed forest update proof")
-        return ForestUpdateProof(operation=operation, shard=shard,
-                                 inner=inner, top=top)
-    if name == "forest_range_proof":
-        low, high = reader.raw(), reader.raw()
-        shard_proofs = _decode_value(reader)
-        top = _decode_value(reader)
-        entries = tuple(tuple(entry) for entry in _decode_value(reader))
-        if not isinstance(top, RangeProof) or not all(
-                isinstance(p, RangeProof) for p in shard_proofs):
-            raise WireError("malformed forest range proof")
-        return ForestRangeProof(low=low, high=high, shard_proofs=shard_proofs,
-                                top=top, entries=entries)
-    if name == "query_result":
-        return QueryResult(answer=_decode_value(reader), proof=_decode_value(reader))
-    if name == "signature":
-        return Signature(signer_id=_decode_value(reader),
-                         digest=_decode_value(reader), raw=reader.raw())
-    if name == "epoch_deposit":
-        return EpochDeposit(user_id=_decode_value(reader), epoch=_decode_value(reader),
-                            sigma=_decode_value(reader), last=_decode_value(reader),
-                            signature=_decode_value(reader))
-    if name == "root_deposit":
-        primary_id, ctr = _decode_value(reader), _decode_value(reader)
-        root, signature = _decode_value(reader), _decode_value(reader)
-        if not isinstance(primary_id, str) or not isinstance(ctr, int) \
-                or not isinstance(root, Digest) \
-                or not isinstance(signature, Signature):
-            raise WireError("malformed root deposit")
-        return RootDeposit(primary_id=primary_id, ctr=ctr, root=root,
-                           signature=signature)
-    if name == "root_attestation":
-        witness_id, deposit = _decode_value(reader), _decode_value(reader)
-        signature = _decode_value(reader)
-        if not isinstance(witness_id, str) \
-                or not isinstance(deposit, RootDeposit) \
-                or not isinstance(signature, Signature):
-            raise WireError("malformed root attestation")
-        return RootAttestation(witness_id=witness_id, deposit=deposit,
-                               signature=signature)
-    if name == "request":
-        return Request(query=_decode_value(reader), extras=_decode_value(reader))
-    if name == "response":
-        return Response(result=_decode_value(reader), extras=_decode_value(reader))
-    if name == "followup":
-        return Followup(extras=_decode_value(reader))
-    if name == "error_reply":
-        return ErrorReply(reason=_decode_value(reader), extras=_decode_value(reader))
-    raise WireError(f"unhandled tag {name!r}")  # pragma: no cover
+# Reading past the end of the buffer surfaces as IndexError (a tag
+# byte) or struct.error (a length or number); decode() reports both as
+# truncation.  Slices never raise, so every sliced payload is bounds
+# checked explicitly.
+
+
+def _decode_at(data: bytes, pos: int):
+    return _DECODERS[data[pos]](data, pos + 1)
+
+
+def _unknown_tag(data: bytes, pos: int):
+    raise WireError(f"unknown wire tag 0x{data[pos - 1]:02x}")
+
+
+def _decode_raw(data: bytes, pos: int):
+    start = pos + 4
+    end = start + _unpack_length(data, pos)[0]
+    if end > len(data):
+        raise _truncated()
+    return data[start:end], end
+
+
+def _constant(value: object):
+    def decode_constant(data: bytes, pos: int):
+        return value, pos
+    return decode_constant
+
+
+def _decode_int(data: bytes, pos: int):
+    return _unpack_int(data, pos)[0], pos + 8
+
+
+def _decode_float(data: bytes, pos: int):
+    return _unpack_float(data, pos)[0], pos + 8
+
+
+def _decode_str(data: bytes, pos: int):
+    start = pos + 4
+    end = start + _unpack_length(data, pos)[0]
+    if end > len(data):
+        raise _truncated()
+    return data[start:end].decode(), end  # UTF-8, the default
+
+
+def _decode_digest(data: bytes, pos: int):
+    end = pos + DIGEST_SIZE
+    if end > len(data):
+        raise _truncated()
+    return Digest._from_hash(data[pos:end]), end
+
+
+def _decode_list(data: bytes, pos: int):
+    count = _unpack_length(data, pos)[0]
+    pos += 4
+    # Fast path: an all-digest list is ``count`` fixed 33-byte strides;
+    # one strided slice compare checks every element's tag byte.
+    end = pos + _DIGEST_STRIDE * count
+    if count and data[pos] == _DIGEST_TAG and end <= len(data) \
+            and data[pos:end:_DIGEST_STRIDE] == _DIGEST_FRAME * count:
+        from_hash = Digest._from_hash
+        return tuple([from_hash(data[at:at + DIGEST_SIZE])
+                      for at in range(pos + 1, end, _DIGEST_STRIDE)]), end
+    items = []
+    append = items.append
+    size = len(data)
+    decoders = _DECODERS
+    for _ in range(count):
+        tag = data[pos]
+        if tag == _BYTES_TAG:  # keys: parsed inline
+            start = pos + 5
+            pos = start + _unpack_length(data, pos + 1)[0]
+            if pos > size:
+                raise _truncated()
+            append(data[start:pos])
+        else:
+            item, pos = decoders[tag](data, pos + 1)
+            append(item)
+    return tuple(items), pos
+
+
+def _decode_dict(data: bytes, pos: int):
+    count = _unpack_length(data, pos)[0]
+    pos += 4
+    result = {}
+    decoders = _DECODERS
+    for _ in range(count):
+        key, pos = decoders[data[pos]](data, pos + 1)
+        result[key], pos = decoders[data[pos]](data, pos + 1)
+    return result, pos
+
+
+def _decode_pairs(data: bytes, pos: int):
+    entries, pos = _decode_at(data, pos)
+    return tuple(tuple(entry) for entry in entries), pos
+
+
+_DECODERS: list = [_unknown_tag] * 256
+for _name, _decoder in (
+        ("none", _constant(None)), ("false", _constant(False)),
+        ("true", _constant(True)),
+        ("int", _decode_int), ("float", _decode_float), ("str", _decode_str),
+        ("bytes", _decode_raw), ("digest", _decode_digest),
+        ("list", _decode_list), ("dict", _decode_dict)):
+    _DECODERS[_TAGS[_name]] = _decoder
 
 
 def decode(data: bytes) -> object:
     """Inverse of :func:`encode`; raises :class:`WireError` on garbage.
 
-    Corrupt frames can put a well-formed value of the *wrong type* into
-    a structured field (a digest where a key tuple belongs); the
-    dataclass validators then raise -- all such type confusion is a
-    wire-format error and is normalised to :class:`WireError`.
+    Accepts any bytes-like buffer; decoded bytes and digests are always
+    ``bytes``-backed.  Corrupt frames can put a well-formed value of the
+    *wrong type* into a structured field (a digest where a key tuple
+    belongs); the dataclass validators then raise -- all such type
+    confusion is a wire-format error and is normalised to
+    :class:`WireError`.
     """
-    reader = _Reader(data)
     try:
-        value = _decode_value(reader)
-    except WireError:
-        raise
-    except (TypeError, ValueError, IndexError, struct.error) as exc:
-        raise WireError(f"malformed frame: {exc}") from exc
-    except Exception as exc:
+        if type(data) is not bytes:
+            data = bytes(memoryview(data))
+        value, end = _DECODERS[data[0]](data, 1)
+    except (IndexError, struct.error) as exc:
+        raise _truncated() from exc
+    except (TypeError, ValueError, ProofError) as exc:
         # snapshot/proof constructors validate their own invariants
-        # with module-specific error types
-        from repro.mtree.proofs import ProofError
-
-        if isinstance(exc, ProofError):
-            raise WireError(f"malformed frame: {exc}") from exc
-        raise
-    if reader.pos != len(data):
+        raise WireError(f"malformed frame: {exc}") from exc
+    if end != len(data):
         raise WireError("trailing bytes after message")
     return value
 
@@ -417,9 +358,119 @@ def wire_size(message: object) -> int:
     return len(encode(message))
 
 
+# ---------------------------------------------------------------------------
+# Record types: one row per dataclass, fields in declaration order
+# ---------------------------------------------------------------------------
+
+# Field kinds: (encoder, decoder).  RAW fields are bare length-prefixed
+# bytes with no tag; SEQ fields encode any iterable as a list; PAIRS is
+# a sequence of (key, value) entries.
+_VALUE = (_encode_value, _decode_at)
+_RAW = (_encode_raw, _decode_raw)
+_SEQ = (_encode_seq, _decode_at)
+_PAIRS = (_encode_pairs, _decode_pairs)
+
+
+def _register(name: str, cls: type, fields: tuple,
+              shape: dict | None = None) -> None:
+    """Add one record type to both tables.
+
+    ``shape`` maps a field to the type its decoded value must have (a
+    tuple field: every element); a mismatch is a malformed frame of
+    this record type.
+    """
+    names = tuple(field for field, _ in fields)
+    assert names == tuple(f.name for f in dataclasses.fields(cls)), cls
+    frame = bytes([_TAGS[name]])
+    plan = tuple((field, kind[0]) for field, kind in fields)
+    readers = tuple(kind[1] for _, kind in fields)
+    decoders = _DECODERS
+
+    def encode_record(value, out: bytearray) -> None:
+        out += frame
+        for field, encode_field in plan:
+            encode_field(getattr(value, field), out)
+
+    kinds = dict(fields)
+    checks = tuple((names.index(field), required, kinds[field] is _SEQ)
+                   for field, required in (shape or {}).items())
+    malformed = f"malformed {name.replace('_', ' ')}"
+
+    def decode_record(data: bytes, pos: int):
+        args = []
+        for read in readers:
+            # The two common field kinds are inlined.
+            if read is _decode_at:
+                value, pos = decoders[data[pos]](data, pos + 1)
+            elif read is _decode_raw:
+                start = pos + 4
+                pos = start + _unpack_length(data, pos)[0]
+                if pos > len(data):
+                    raise _truncated()
+                value = data[start:pos]
+            else:
+                value, pos = read(data, pos)
+            args.append(value)
+        for index, required, each in checks:
+            value = args[index]
+            if not (all(isinstance(item, required) for item in value)
+                    if each else isinstance(value, required)):
+                raise WireError(malformed)
+        return cls(*args), pos
+
+    _ENCODERS[cls] = encode_record
+    _DECODERS[_TAGS[name]] = decode_record
+
+
 # Imported last: repro.net.replication is reached through the repro.net
 # package, whose __init__ imports modules that import *this* module --
 # deferring until every name above exists keeps either import order
 # (wire first or repro.net first) cycle-safe.  replication itself is
 # codec-free at module level for the same reason.
 from repro.net.replication import RootAttestation, RootDeposit  # noqa: E402
+
+_register("read_query", ReadQuery, (("key", _RAW),))
+_register("range_query", RangeQuery, (("low", _RAW), ("high", _RAW)))
+_register("write_query", WriteQuery, (("key", _RAW), ("value", _RAW)))
+_register("delete_query", DeleteQuery, (("key", _RAW),))
+_register("leaf_snapshot", LeafSnapshot,
+          (("keys", _SEQ), ("entry_digests", _SEQ)))
+_register("internal_snapshot", InternalSnapshot,
+          (("keys", _SEQ), ("child_digests", _SEQ)))
+_register("read_proof", ReadProof,
+          (("key", _RAW), ("value", _VALUE), ("internals", _SEQ), ("leaf", _VALUE)))
+_register("fringe_node", FringeNode, (("keys", _SEQ), ("children", _SEQ)))
+_register("range_proof", RangeProof,
+          (("low", _RAW), ("high", _RAW), ("root", _VALUE), ("entries", _PAIRS)))
+_register("sibling_pair", SiblingPair, (("left", _VALUE), ("right", _VALUE)))
+_register("update_proof", UpdateProof,
+          (("operation", _VALUE), ("key", _RAW), ("internals", _SEQ),
+           ("leaf", _VALUE), ("siblings", _SEQ)))
+_register("forest_read_proof", ForestReadProof,
+          (("shard", _VALUE), ("inner", _VALUE), ("top", _VALUE)),
+          {"shard": int, "inner": ReadProof, "top": ReadProof})
+_register("forest_update_proof", ForestUpdateProof,
+          (("operation", _VALUE), ("shard", _VALUE), ("inner", _VALUE),
+           ("top", _VALUE)),
+          {"shard": int, "inner": UpdateProof, "top": UpdateProof})
+_register("forest_range_proof", ForestRangeProof,
+          (("low", _RAW), ("high", _RAW), ("shard_proofs", _SEQ),
+           ("top", _VALUE), ("entries", _PAIRS)),
+          {"top": RangeProof, "shard_proofs": RangeProof})
+_register("query_result", QueryResult, (("answer", _VALUE), ("proof", _VALUE)))
+_register("signature", Signature,
+          (("signer_id", _VALUE), ("digest", _VALUE), ("raw", _RAW)))
+_register("epoch_deposit", EpochDeposit,
+          (("user_id", _VALUE), ("epoch", _VALUE), ("sigma", _VALUE),
+           ("last", _VALUE), ("signature", _VALUE)))
+_register("root_deposit", RootDeposit,
+          (("primary_id", _VALUE), ("ctr", _VALUE), ("root", _VALUE),
+           ("signature", _VALUE)),
+          {"primary_id": str, "ctr": int, "root": Digest, "signature": Signature})
+_register("root_attestation", RootAttestation,
+          (("witness_id", _VALUE), ("deposit", _VALUE), ("signature", _VALUE)),
+          {"witness_id": str, "deposit": RootDeposit, "signature": Signature})
+_register("request", Request, (("query", _VALUE), ("extras", _VALUE)))
+_register("response", Response, (("result", _VALUE), ("extras", _VALUE)))
+_register("followup", Followup, (("extras", _VALUE),))
+_register("error_reply", ErrorReply, (("reason", _VALUE), ("extras", _VALUE)))

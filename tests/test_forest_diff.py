@@ -231,6 +231,12 @@ def _p1_wire_run(shards: int, attack_factory=None, *, k=4, steps=12):
                             replies.append("ack")
                     except IntegrityError:
                         detection = ("response", global_op)
+                    if not detection:
+                        # Follow-up signatures travel asynchronously: let
+                        # the server absorb this one before the other
+                        # user's next request, so every attack sees the
+                        # same sequence of ticks on every run.
+                        server.quiesce()
                     if not detection and global_op % (k * len(users)) == 0:
                         counts = {u: c.counts() for u, c in clients.items()}
                         if not count_sync_check(counts):
