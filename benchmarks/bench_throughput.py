@@ -64,20 +64,19 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from bench_common import REPO_ROOT, emit_json  # noqa: E402
 
-from repro.crypto.hashing import Digest, hash_tagged_state  # noqa: E402
 from repro.mtree.database import WriteQuery  # noqa: E402
 from repro.net import (  # noqa: E402
     PipelinedRemoteClientP1,
     RemoteClient,
+    Protocol2Step,
     RemoteClientP1,
     serve_async_in_thread,
     serve_in_thread,
     sync_check,
 )
+from repro.net.client import rid_for  # noqa: E402
 from repro.net.framing import async_recv_message, async_send_message  # noqa: E402
 from repro.protocols.base import Request, Response  # noqa: E402
-from repro.protocols.protocol2 import INITIAL_OWNER  # noqa: E402
-from repro.protocols.verify import derive_outcome  # noqa: E402
 
 ORDER = 8
 BENCH_THROUGHPUT_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
@@ -176,12 +175,13 @@ def run_threaded(clients: int, ops_per_client: int) -> dict:
 
 # -- async driver: C pipelined sessions in one client event loop ----------
 #
-# The real PipelinedRemoteClient is a blocking-socket class; C of those
-# would need C threads, which is exactly the overhead the async server
-# exists to avoid.  The bench therefore runs a minimal asyncio Protocol
-# II session performing the *identical* verification work per response
-# (rid echo, counter checks, derive_outcome, tagged-state registers) so
-# the two transports are compared op-for-op.
+# The library session (RemoteClient with a window) is a blocking-socket
+# class; C of those would need C threads, which is exactly the overhead
+# the async server exists to avoid.  The bench therefore keeps its own
+# minimal asyncio transport but checks every response with the library's
+# Protocol II verification step (rid echo, counter checks,
+# derive_outcome, tagged-state registers), so the two transports are
+# compared op-for-op on the code users run.
 
 async def _async_session(host: str, port: int, user: str,
                          ops: int, window: int,
@@ -203,21 +203,18 @@ async def _async_session(host: str, port: int, user: str,
         all_connected.set()
     await start_gate.wait()
     nonce = os.urandom(4).hex()
-    sigma = Digest.zero()
-    last = Digest.zero()
-    gctr = 0
+    step = Protocol2Step(user, ORDER)
     pending: deque = deque()
     sent = 0
-    received = 0
     try:
-        while received < ops:
+        while step.operations < ops:
             while sent < ops and len(pending) < window:
                 query = WriteQuery(f"{user}-{sent % 8}".encode(),
                                    f"{user}:{sent}".encode())
-                rid = f"{user}:{nonce}:{sent}"
-                await async_send_message(writer, Request(
-                    query=query, extras={"user": user, "rid": rid}))
-                pending.append((query, rid, time.perf_counter()))
+                request = Request(query=query, extras={
+                    "user": user, "rid": rid_for(user, nonce, sent)})
+                await async_send_message(writer, request)
+                pending.append((query, request, time.perf_counter()))
                 sent += 1
             await writer.drain()
             message = await async_recv_message(reader)
@@ -225,27 +222,12 @@ async def _async_session(host: str, port: int, user: str,
                 raise RuntimeError(f"{user}: server closed mid-window")
             if not isinstance(message, Response):
                 raise RuntimeError(f"{user}: unexpected reply {message!r}")
-            query, rid, started = pending.popleft()
+            query, request, started = pending.popleft()
             latencies.append((time.perf_counter() - started) * 1000.0)
-            echoed = message.extras.get("rid")
-            if echoed is not None and echoed != rid:
-                raise RuntimeError(f"{user}: reordered response {echoed!r}")
-            ctr = int(message.extras["ctr"])
-            last_user = message.extras["last_user"]
-            if ctr < gctr:
-                raise RuntimeError(f"{user}: counter regressed")
-            if ctr == 0 and last_user != INITIAL_OWNER:
-                raise RuntimeError(f"{user}: initial state owned")
-            outcome = derive_outcome(query, message.result, ORDER)
-            old_tag = hash_tagged_state(outcome.old_root, ctr, last_user)
-            new_tag = hash_tagged_state(outcome.new_root, ctr + 1, user)
-            sigma = sigma ^ old_tag ^ new_tag
-            last = new_tag
-            gctr = ctr + 1
-            received += 1
+            step.verify(query, request, message)
     finally:
         writer.close()
-    return {"sigma": sigma, "last": last}
+    return step.registers()
 
 
 async def _async_cell(host: str, port: int, clients: int, ops_per_client: int,

@@ -9,12 +9,16 @@ state to show two users one history each -- and the same register
 exchange refuses to reconcile.
 
 Run:  python examples/networked_team.py
+Exits 0 only if the honest exchange reads CONSISTENT and the forked one
+reads FORKED, so it doubles as a smoke test of the public client API.
 """
+
+import sys
 
 from repro.net import RemoteClient, serve_in_thread, sync_check
 
 
-def main() -> None:
+def main() -> int:
     print(__doc__)
     server = serve_in_thread(order=8)
     host, port = server.address
@@ -38,8 +42,9 @@ def main() -> None:
 
     # the users meet (mail, chat, a hallway) and compare registers
     registers = {"alice": alice.registers(), "bob": bob.registers()}
+    honest = sync_check(genesis, registers)
     print(f"sync check over exchanged registers: "
-          f"{'CONSISTENT' if sync_check(genesis, registers) else 'FORKED'}")
+          f"{'CONSISTENT' if honest else 'FORKED'}")
 
     # now the operator turns malicious: bob gets a private fork
     with server.state_lock:
@@ -54,14 +59,16 @@ def main() -> None:
     alice.get(b"src/main.c")
 
     registers = {"alice": alice.registers(), "bob": bob_registers}
+    forked = not sync_check(genesis, registers)
     print(f"sync check after the operator forked bob:  "
-          f"{'CONSISTENT' if sync_check(genesis, registers) else 'FORKED -- server busted'}")
+          f"{'FORKED -- server busted' if forked else 'CONSISTENT'}")
 
     alice.close()
     bob.close()
     server.shutdown()
     server.server_close()
+    return 0 if honest and forked else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,29 +27,20 @@ class PersistenceError(Exception):
 
 
 def dump_tree(tree: BPlusTree) -> bytes:
-    """Serialise a B+-tree preserving its exact shape."""
-    out: list[str] = [f"bplus-snapshot 1 {tree.order} {len(tree)}"]
+    """Serialise a B+-tree preserving its exact shape.
 
-    def walk(node) -> None:
-        if node.is_leaf:
-            out.append(f"leaf {len(node.keys)}")
-            for key, value in zip(node.keys, node.values):
-                out.append(f"{_b64(key)} {_b64(value)}")
-        else:
-            out.append(f"internal {len(node.keys)}")
-            out.append(" ".join(_b64(key) for key in node.keys) if node.keys else "")
-            for child in node.children:
-                walk(child)
-
-    walk(tree.root)
-    return ("\n".join(out) + "\n").encode("ascii")
+    The single-blob view of :func:`iter_tree_stream`: both streams'
+    lines interleaved in walk order (a leaf's entries follow its line).
+    """
+    return ("\n".join(line for _stream, line in iter_tree_stream(tree))
+            + "\n").encode("ascii")
 
 
 def iter_tree_stream(tree: BPlusTree):
     """Stream a tree's exact shape as ``(stream, line)`` pairs.
 
-    The same preorder walk as :func:`dump_tree`, but split into two
-    line streams so the page engine can persist them separately:
+    A preorder walk split into two line streams so the page engine can
+    persist them separately (:func:`dump_tree` interleaves them):
 
     * ``"nodes"`` -- the header plus per-node structure lines (kind,
       key count, internal separator keys);
@@ -165,84 +156,20 @@ def load_tree_stream(nodes_lines, entries_lines) -> BPlusTree:
 
 
 def load_tree(blob: bytes) -> BPlusTree:
-    """Reconstruct a tree serialised by :func:`dump_tree`."""
+    """Reconstruct a tree serialised by :func:`dump_tree`.
+
+    One line iterator feeds both of :func:`load_tree_stream`'s streams:
+    the walk reads each leaf's entries right after its node line,
+    exactly where :func:`dump_tree` put them.
+    """
     try:
         lines = blob.decode("ascii").split("\n")
     except UnicodeDecodeError as exc:
         raise PersistenceError(f"snapshot is not ascii: {exc}") from exc
     if lines and lines[-1] == "":
         lines.pop()
-    position = 0
-
-    def next_line() -> str:
-        nonlocal position
-        if position >= len(lines):
-            raise PersistenceError("unexpected end of snapshot")
-        line = lines[position]
-        position += 1
-        return line
-
-    header = next_line().split(" ")
-    if len(header) != 4 or header[0] != "bplus-snapshot" or header[1] != "1":
-        raise PersistenceError("bad snapshot header")
-    try:
-        order, size = int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise PersistenceError(f"bad snapshot header: {exc}") from exc
-    if order < 3 or size < 0:
-        raise PersistenceError("bad snapshot header: implausible order/size")
-    tree = BPlusTree(order=order)
-
-    def read_node():
-        parts = next_line().split(" ")
-        if parts[0] == "leaf":
-            node = LeafNode()
-            for _ in range(int(parts[1])):
-                key_text, _, value_text = next_line().partition(" ")
-                node.keys.append(_unb64(key_text))
-                node.values.append(_unb64(value_text))
-                node.entry_digests.append(None)
-            return node
-        if parts[0] == "internal":
-            node = InternalNode()
-            key_count = int(parts[1])
-            key_line = next_line()
-            if key_count:
-                encoded = key_line.split(" ")
-                if len(encoded) != key_count:
-                    raise PersistenceError("internal key count mismatch")
-                node.keys = [_unb64(text) for text in encoded]
-            elif key_line:
-                raise PersistenceError("expected empty key line")
-            for _ in range(key_count + 1):
-                node.children.append(read_node())
-            return node
-        raise PersistenceError(f"unknown node kind {parts[0]!r}")
-
-    try:
-        root = read_node()
-    except (IndexError, ValueError) as exc:
-        raise PersistenceError(f"malformed snapshot: {exc}") from exc
-    if position != len(lines):
-        raise PersistenceError("trailing data in snapshot")
-
-    def count_entries(node) -> int:
-        if node.is_leaf:
-            return len(node.keys)
-        return sum(count_entries(child) for child in node.children)
-
-    actual = count_entries(root)
-    if actual != size:
-        raise PersistenceError(
-            f"snapshot header claims {size} entries but the nodes hold {actual}")
-    tree._root = root
-    tree._size = size
-    _relink_leaves(tree)
-    try:
-        tree.check_invariants()
-    except AssertionError as exc:
-        raise PersistenceError(f"snapshot violates tree invariants: {exc}") from exc
-    return tree
+    source = iter(lines)
+    return load_tree_stream(source, source)
 
 
 def _relink_leaves(tree: BPlusTree) -> None:

@@ -18,9 +18,14 @@ from repro.net.chaosproxy import ChaosConfig, ChaosProxy
 from repro.net.client import (
     EndpointConnector,
     IntegrityError,
+    PipelinedRemoteClient,
+    PipelinedRemoteClientP1,
+    Protocol1Step,
+    Protocol2Step,
     RemoteClient,
     RemoteClientP1,
     ReplicationDivergence,
+    RequestRejected,
     RetryPolicy,
     ServerBusyError,
     TransientNetworkError,
@@ -42,7 +47,6 @@ from repro.net.replication import (
 from repro.net.core import DedupTable, ServerCore
 from repro.net.evidence import EvidenceError, read_bundle, reverify, write_bundle
 from repro.net.framing import FramingError, recv_message, send_message
-from repro.net.pipeline import PipelinedRemoteClient, PipelinedRemoteClientP1
 from repro.net.server import TrustedCvsTcpServer, serve_in_thread
 from repro.net.wal import ServerStore, WalError
 
@@ -75,8 +79,11 @@ __all__ = [
     "reverify",
     "write_bundle",
     "IntegrityError",
+    "Protocol1Step",
+    "Protocol2Step",
     "RemoteClient",
     "RemoteClientP1",
+    "RequestRejected",
     "RetryPolicy",
     "ServerBusyError",
     "TransientNetworkError",

@@ -32,6 +32,7 @@ from repro.mtree.database import VerifiedDatabase
 from repro.obs import runtime as _obs
 from repro.obs.metrics import REGISTRY as _registry
 from repro.protocols.base import (
+    ErrorReply,
     Followup,
     Request,
     Response,
@@ -71,6 +72,9 @@ _BATCH_ROOT_NODES = _registry.histogram(
     "server.batch_root_nodes", "Merkle nodes recomputed by the per-batch root pass")
 _DIRTY_SHARDS = _registry.histogram(
     "server.dirty_shards", "shards visited per forest refresh pass")
+_REJECTED = _registry.counter(
+    "server.rejected_requests",
+    "requests refused by the protocol's admission check (never logged)")
 _SNAPSHOT_FAILURES = _registry.counter(
     "server.snapshot_failures",
     "periodic snapshots that failed (ENOSPC/EIO) and will be retried")
@@ -253,10 +257,33 @@ class ServerCore:
         self.protocol.handle_followup(
             user_id, message, self.state, round_no=round_no)
 
+    def _admit(self, user_id: str, message: Request) -> ErrorReply | None:
+        """The protocol's admission check, before anything is logged.
+
+        A request that could never execute gets a non-retryable error
+        reply and leaves no trace -- no WAL record, no dedup entry --
+        so it cannot poison replay and stop the server from restarting.
+        """
+        reason = self.protocol.admit(message)
+        if reason is None:
+            return None
+        if _obs.enabled:
+            _REJECTED.inc(user=user_id)
+        extras = {"retryable": False}
+        rid = request_id(message)
+        if rid is not None:
+            extras["rid"] = rid
+        return ErrorReply(reason=f"request rejected: {reason}", extras=extras)
+
     # -- single-message application (threaded wire path, replay) ----------
 
-    def apply_request(self, user_id: str, message: Request) -> Response:
-        """Dedup-check, log, and execute one request (caller serialised)."""
+    def apply_request(self, user_id: str,
+                      message: Request) -> Response | ErrorReply:
+        """Admit, dedup-check, log, and execute one request (caller
+        serialised)."""
+        rejected = self._admit(user_id, message)
+        if rejected is not None:
+            return rejected
         rid = request_id(message)
         if rid is not None:
             cached = self.dedup.lookup(user_id, rid)
@@ -290,7 +317,8 @@ class ServerCore:
 
     # -- batched application (async wire path) ------------------------------
 
-    def apply_batch(self, entries: list[tuple[str, Request]]) -> list[Response]:
+    def apply_batch(self, entries: list[tuple[str, Request]]
+                    ) -> list[Response | ErrorReply]:
         """Execute a batch of requests with amortised durability + hashing.
 
         ``entries`` is ``[(user_id, request), ...]`` in execution order.
@@ -305,19 +333,25 @@ class ServerCore:
 
         Returns the responses aligned with ``entries``.  Duplicate
         request ids (dedup hits and intra-batch retries) are answered
-        from the recorded response, never re-executed.
+        from the recorded response, never re-executed; a request that
+        fails admission is answered with its error reply while its
+        batch-mates execute normally.
         """
         plan: list[tuple[str, object]] = []
         staged: set[tuple[str, str]] = set()
         fresh: list[tuple[str, Request]] = []
         for user_id, message in entries:
+            rejected = self._admit(user_id, message)
+            if rejected is not None:
+                plan.append(("ready", rejected))
+                continue
             rid = request_id(message)
             if rid is not None:
                 cached = self.dedup.lookup(user_id, rid)
                 if cached is not None:
                     if _obs.enabled:
                         _DEDUP_HITS.inc(user=user_id)
-                    plan.append(("cached", cached))
+                    plan.append(("ready", cached))
                     continue
                 if (user_id, rid) in staged:
                     # The same id twice in one batch (a client retried
@@ -365,9 +399,9 @@ class ServerCore:
             self._ops_since_snapshot += len(fresh)
             self._maybe_snapshot()
 
-        responses: list[Response] = []
+        responses: list[Response | ErrorReply] = []
         for kind, payload in plan:
-            if kind == "cached":
+            if kind == "ready":
                 responses.append(payload)
             elif kind == "exec":
                 responses.append(executed[payload])

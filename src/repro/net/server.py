@@ -13,7 +13,9 @@ serial execution model.
 The server needs no keys and is trusted with nothing: every response
 carries the verification object clients check.  Use
 :class:`~repro.net.client.RemoteClient` (Protocol II) or
-:class:`~repro.net.client.RemoteClientP1` (Protocol I) to talk to it.
+:class:`~repro.net.client.RemoteClientP1` (Protocol I) to talk to it;
+a windowed Protocol I client's requests queued behind its own pending
+follow-up are held per connection until that follow-up arrives.
 
 Crash safety (``data_dir``): when given a data directory the server
 keeps a write-ahead log and periodic shape-exact snapshots (see
@@ -36,6 +38,7 @@ import socket
 import socketserver
 import threading
 import time
+from collections import deque
 
 from repro.mtree.database import VerifiedDatabase
 from repro.obs import runtime as _obs
@@ -83,23 +86,40 @@ class _Handler(socketserver.BaseRequestHandler):
             server._unregister_connection(self.request)
 
     def _serve_connection(self, server) -> None:  # pragma: no cover
+        # Under a blocking protocol (Protocol I) every response obliges
+        # this connection's client to send a follow-up.  A windowed
+        # client has already queued its next requests *ahead* of that
+        # follow-up on the stream, so waiting on the server's block
+        # would wait on ourselves: hold them until the follow-up lands.
+        blocking = server.protocol.blocks_after_request
+        held: deque = deque()
+        owes_followup = False
         while True:
-            try:
-                message = recv_message(self.request)
-            except (FramingError, WireError, OSError):
-                return
-            if message is None:
-                return
+            if held and not owes_followup:
+                message = held.popleft()
+            else:
+                try:
+                    message = recv_message(self.request)
+                except (FramingError, WireError, OSError):
+                    return
+                if message is None:
+                    return
             if isinstance(message, Followup):
                 user_id = message.extras.get("user", "anonymous")
                 with server.state_cond:
                     server.apply_followup(user_id, message)
                     server.state_cond.notify_all()
+                owes_followup = False
                 if _obs.enabled:
                     _FOLLOWUPS.inc(user=user_id)
                 continue
             if not isinstance(message, Request):
                 return  # protocol violation: drop the connection
+            if owes_followup:
+                if len(held) >= DEDUP_WINDOW:
+                    return  # deeper than any honest window: drop it
+                held.append(message)
+                continue
             # The defer-followup marker is server-internal (stamped on
             # logged batch requests); a client that sets it on the wire
             # would skip its blocking signature, so strip it here.
@@ -137,6 +157,7 @@ class _Handler(socketserver.BaseRequestHandler):
                         return
                     continue
                 response = server.apply_request(user_id, message)
+            owes_followup = blocking and isinstance(response, Response)
             if _obs.enabled:
                 _REQUEST_MS.observe(
                     (time.perf_counter_ns() - started) / 1e6, user=user_id)

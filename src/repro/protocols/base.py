@@ -236,8 +236,25 @@ class ServerProtocol:
     #: cover a whole batch from the same user.
     supports_deferred_followup = False
 
+    #: Whether a request without a data query is a protocol-internal
+    #: message the handler understands (Protocol III's auditor fetch).
+    internal_requests = False
+
     def initialize(self, state: ServerState) -> None:
         """One-time setup of protocol metadata in ``state.meta``."""
+
+    def admit(self, request: Request) -> str | None:
+        """Why ``request`` can never execute, or ``None`` to admit it.
+
+        Servers ask before logging a request: one that fails here is
+        refused without a trace, so no wire-valid input can make WAL
+        replay -- and with it every later restart -- fail.
+        """
+        if request.query is None and self.internal_requests:
+            return None
+        if not isinstance(request.query, Query):
+            return "request carries no data query"
+        return None
 
     def blocked(self, state: ServerState) -> bool:
         """Whether the server must wait before answering the next query

@@ -391,8 +391,8 @@ class TestEvidenceBundleFormat:
             captured = {}
 
             class Snitch(RemoteClient):
-                def _exchange(self, request):
-                    response = super()._exchange(request)
+                def _receive(self, request):
+                    response = super()._receive(request)
                     captured["request"] = request
                     captured["frame"] = self._capture[-1]
                     captured["state"] = {
